@@ -48,30 +48,78 @@ type solution = {
   max_overload : float;
 }
 
-let golden = (sqrt 5. -. 1.) /. 2.
+(* See [line_search]; Brent's safeguards because regula falsi, even
+   Illinois, stalls on the steep phi' of a capacity penalty.  [eval ()]
+   stores phi'(st.(ls_theta)) in [st.(ls_dphi)] (best point b, phi'(b);
+   the step on return).  Float cells keep the kernel allocation-free. *)
+let ls_theta = 1 and ls_dphi = 2 and ls_gap = 3 and ls_a = 4 and ls_fa = 5
+let ls_c = 6 and ls_fc = 7 and ls_d = 8 and ls_e = 9
 
-(* Minimise a convex (hence unimodal) function on [0, 1]. *)
-let golden_section ~iters f =
-  let a = ref 0. and b = ref 1. in
-  let x1 = ref (1. -. golden) and x2 = ref golden in
-  let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  for _ = 1 to iters do
-    if !f1 < !f2 then begin
-      b := !x2;
-      x2 := !x1;
-      f2 := !f1;
-      x1 := !b -. (golden *. (!b -. !a));
-      f1 := f !x1
-    end
-    else begin
-      a := !x1;
-      x1 := !x2;
-      f1 := !f2;
-      x2 := !a +. (golden *. (!b -. !a));
-      f2 := f !x2
-    end
-  done;
-  (!a +. !b) /. 2.
+let root_find st ~iters eval =
+  let tol = 0.5e-10 in
+  st.(ls_theta) <- 1.;
+  eval ();
+  let evals = ref 1 in
+  (* phi'(1) <= 0: the objective still falls at the far end; full step. *)
+  if st.(ls_dphi) > 0. then begin
+    st.(ls_a) <- 0.;
+    st.(ls_fa) <- -.st.(ls_gap);
+    let stop = ref false in
+    while not !stop do
+      (* c keeps the sign opposite to b; b is the point of smaller |phi'|. *)
+      if !evals = 1 || (st.(ls_dphi) > 0.) = (st.(ls_fc) > 0.) then begin
+        st.(ls_c) <- st.(ls_a);
+        st.(ls_fc) <- st.(ls_fa);
+        st.(ls_d) <- st.(ls_theta) -. st.(ls_a);
+        st.(ls_e) <- st.(ls_d)
+      end;
+      if Float.abs st.(ls_fc) < Float.abs st.(ls_dphi) then begin
+        st.(ls_a) <- st.(ls_theta);
+        st.(ls_fa) <- st.(ls_dphi);
+        st.(ls_theta) <- st.(ls_c);
+        st.(ls_dphi) <- st.(ls_fc);
+        st.(ls_c) <- st.(ls_a);
+        st.(ls_fc) <- st.(ls_fa)
+      end;
+      let b = st.(ls_theta) and fb = st.(ls_dphi) and c = st.(ls_c) in
+      let a = st.(ls_a) and fa = st.(ls_fa) and e = st.(ls_e) in
+      let xm = 0.5 *. (c -. b) in
+      if Float.abs xm <= tol || Float.abs fb <= 1e-12 *. st.(ls_gap) || !evals >= iters
+      then stop := true
+      else begin
+        (* Secant through b and a (from the negative end if they bracket:
+           one rounding on a linear phi'), kept if it moves towards c by
+           under 3/4 of the bracket and half the step before last. *)
+        let t =
+          if a <> c then b -. (fb *. (b -. a) /. (fb -. fa))
+          else if fb < 0. then b +. ((a -. b) *. (fb /. (fb -. fa)))
+          else a +. ((b -. a) *. (fa /. (fa -. fb)))
+        in
+        let d = t -. b in
+        let ok =
+          Float.abs e >= tol && Float.abs fa > Float.abs fb && d *. xm > 0.
+          && 2. *. Float.abs d < Float.min ((3. *. Float.abs xm) -. tol) (Float.abs e)
+        in
+        st.(ls_e) <- (if ok then st.(ls_d) else xm);
+        st.(ls_d) <- (if ok then d else xm);
+        st.(ls_a) <- b;
+        st.(ls_fa) <- fb;
+        st.(ls_theta) <-
+          (if not ok then b +. xm
+           else if Float.abs d > tol then t
+           else b +. Float.copy_sign tol xm);
+        eval ();
+        incr evals
+      end
+    done
+  end;
+  !evals
+
+let line_search ~iters ~gap dphi =
+  let st = Array.make (ls_e + 1) 0. in
+  st.(ls_gap) <- gap;
+  let evals = root_find st ~iters (fun () -> st.(ls_dphi) <- dphi st.(ls_theta)) in
+  (st.(ls_theta), evals)
 
 (* Per-engine iteration counters for live telemetry; one-branch no-ops
    while the registry is disabled, and incremented unconditionally (the
@@ -85,9 +133,10 @@ let obs_iters_kernel =
     ~labels:[ ("engine", "kernel") ] "fw.iterations"
 
 (* One record per Frank–Wolfe iteration: the duality gap, the objective
-   it was measured at, and the accepted line-search step (0 on the
-   terminating iteration).  One branch when no trace is installed. *)
-let trace_iter obs iter gap objective step =
+   it was measured at, the accepted line-search step and its derivative
+   evaluations (0 on the terminating iteration).  One branch when no
+   trace is installed. *)
+let trace_iter obs iter gap objective step ls_evals =
   Dcn_obs.Registry.incr obs;
   if Trace.on () then begin
     Trace.event "fw.iter"
@@ -97,8 +146,10 @@ let trace_iter obs iter gap objective step =
           ("gap", Json.float gap);
           ("objective", Json.float objective);
           ("step", Json.float step);
+          ("ls_evals", Json.Int ls_evals);
         ];
-    Trace.counter "fw.iters" 1.
+    Trace.counter "fw.iters" 1.;
+    Trace.counter "fw.line_search_evals" (float_of_int ls_evals)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -229,10 +280,20 @@ let reference_impl ~config ~warm_start problem =
        final_gap := Float.max 0. !gap;
        let obj_now = objective loads in
        if !final_gap <= config.gap_tol *. Float.max 1e-12 obj_now then begin
-         trace_iter obs_iters_reference iter !final_gap obj_now 0.;
+         trace_iter obs_iters_reference iter !final_gap obj_now 0. 0;
          raise Exit
        end;
-       (* Line search over the segment towards the all-or-nothing point. *)
+       (* Line search towards the all-or-nothing point; links with s = x
+          add nothing to phi'. *)
+       let blend_deriv theta =
+         let acc = ref 0. in
+         for e = 0 to m - 1 do
+           let x = loads.(e) and s = aon_loads.(e) in
+           if s <> x then
+             acc := !acc +. (pc_deriv (((1. -. theta) *. x) +. (theta *. s)) *. (s -. x))
+         done;
+         !acc
+       in
        let blend_obj theta =
          let acc = ref 0. in
          for e = 0 to m - 1 do
@@ -240,9 +301,11 @@ let reference_impl ~config ~warm_start problem =
          done;
          !acc
        in
-       let theta = golden_section ~iters:config.line_search_iters blend_obj in
+       let theta, evals =
+         line_search ~iters:config.line_search_iters ~gap:!final_gap blend_deriv
+       in
        let theta = if blend_obj theta < obj_now then theta else 0. in
-       trace_iter obs_iters_reference iter !final_gap obj_now theta;
+       trace_iter obs_iters_reference iter !final_gap obj_now theta evals;
        if theta <= 1e-12 then raise Exit;
        for i = 0 to nc - 1 do
          let fi = flows.(i) in
@@ -420,17 +483,30 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
         (Ba.Array1.unsafe_get loads e +. Ba.Array1.unsafe_get flows (base + e))
     done
   done;
-  (* acc cells: 0 scratch (max_w / gap / objective), 1-6 golden-section
-     state (a, b, x1, x2, f1, f2), 7 blend argument, 8 blend result. *)
+  (* acc cells: 0 scratch (max_w / gap), 1-9 line-search state (see
+     [root_find]; 1 is also the blend argument), 10 blend result. *)
   let final_gap = ref infinity in
   let iterations = ref 0 in
   let minor0 = Gc.minor_words () in
-  (* pc(x) at the blend point acc.(7), accumulated into acc.(8); the
-     unit argument keeps every float in arrays or registers. *)
+  (* pc'(x), the marginal cost; inlined, so its float never boxes. *)
+  let[@inline] pc_deriv x =
+    let d =
+      if r = 0. then am *. (x ** alpha1) else if x <= r then slope else am *. (x ** alpha1)
+    in
+    let p =
+      if cap = infinity then 0.
+      else
+        let over = x -. cap in
+        if over > 0. then pen2 *. over else 0.
+    in
+    d +. p
+  in
+  (* pc(x) at the blend point acc.(ls_theta), accumulated into acc.(10);
+     the unit argument keeps every float in arrays or registers. *)
   let blend_eval () =
-    let theta = acc.(7) in
+    let theta = acc.(ls_theta) in
     let one_t = 1. -. theta in
-    acc.(8) <- 0.;
+    acc.(10) <- 0.;
     for e = 0 to m - 1 do
       let x =
         (one_t *. Ba.Array1.unsafe_get loads e)
@@ -448,7 +524,20 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
           let over = x -. cap in
           if over > 0. then penalty *. over *. over else 0.
       in
-      acc.(8) <- acc.(8) +. (c +. p)
+      acc.(10) <- acc.(10) +. (c +. p)
+    done
+  in
+  (* phi'(acc.(ls_theta)) into acc.(ls_dphi), as the reference's [blend_deriv]. *)
+  let deriv_eval () =
+    let theta = acc.(ls_theta) in
+    let one_t = 1. -. theta in
+    acc.(ls_dphi) <- 0.;
+    for e = 0 to m - 1 do
+      let x0 = Ba.Array1.unsafe_get loads e
+      and s = Ba.Array1.unsafe_get aon_loads e in
+      if s <> x0 then
+        acc.(ls_dphi) <-
+          acc.(ls_dphi) +. (pc_deriv ((one_t *. x0) +. (theta *. s)) *. (s -. x0))
     done
   in
   (try
@@ -461,19 +550,7 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
        (* Marginal costs at the current loads. *)
        acc.(0) <- 0.;
        for e = 0 to m - 1 do
-         let x = Ba.Array1.unsafe_get loads e in
-         let d =
-           if r = 0. then am *. (x ** alpha1)
-           else if x <= r then slope
-           else am *. (x ** alpha1)
-         in
-         let p =
-           if cap = infinity then 0.
-           else
-             let over = x -. cap in
-             if over > 0. then pen2 *. over else 0.
-         in
-         let w = d +. p in
+         let w = pc_deriv (Ba.Array1.unsafe_get loads e) in
          Ba.Array1.unsafe_set weights e w;
          if w > acc.(0) then acc.(0) <- w
        done;
@@ -520,66 +597,21 @@ let kernel_impl ~config ~warm_start ~workspace ~(pw : piecewise) problem =
               *. (Ba.Array1.unsafe_get loads e -. Ba.Array1.unsafe_get aon_loads e)
        done;
        final_gap := Float.max 0. acc.(0);
-       (* Objective at the current loads. *)
-       acc.(0) <- 0.;
-       for e = 0 to m - 1 do
-         let x = Ba.Array1.unsafe_get loads e in
-         let c =
-           if x = 0. then 0.
-           else if r = 0. then mu *. (x ** alpha)
-           else if x <= r then x *. slope
-           else sigma +. (mu *. (x ** alpha))
-         in
-         let p =
-           if cap = infinity then 0.
-           else
-             let over = x -. cap in
-             if over > 0. then penalty *. over *. over else 0.
-         in
-         acc.(0) <- acc.(0) +. (c +. p)
-       done;
-       let obj_now = acc.(0) in
+       (* Objective at the current loads (the blend at 0 is exactly
+          sum pc(x_e)); after an accepted step acc.(10) already holds it,
+          as the load update below repeats the blend's arithmetic. *)
+       if iter = 1 then (acc.(ls_theta) <- 0.; blend_eval ());
+       let obj_now = acc.(10) in
        if !final_gap <= config.gap_tol *. Float.max 1e-12 obj_now then begin
-         trace_iter obs_iters_kernel iter !final_gap obj_now 0.;
+         trace_iter obs_iters_kernel iter !final_gap obj_now 0. 0;
          raise Exit
        end;
-       (* Golden-section line search towards the all-or-nothing point;
-          same update sequence as [golden_section], state in acc. *)
-       acc.(1) <- 0.;
-       acc.(2) <- 1.;
-       acc.(3) <- 1. -. golden;
-       acc.(4) <- golden;
-       acc.(7) <- acc.(3);
+       (* Line search towards the all-or-nothing point. *)
+       acc.(ls_gap) <- !final_gap;
+       let evals = root_find acc ~iters:config.line_search_iters deriv_eval in
        blend_eval ();
-       acc.(5) <- acc.(8);
-       acc.(7) <- acc.(4);
-       blend_eval ();
-       acc.(6) <- acc.(8);
-       for _ = 1 to config.line_search_iters do
-         if acc.(5) < acc.(6) then begin
-           acc.(2) <- acc.(4);
-           acc.(4) <- acc.(3);
-           acc.(6) <- acc.(5);
-           acc.(3) <- acc.(2) -. (golden *. (acc.(2) -. acc.(1)));
-           acc.(7) <- acc.(3);
-           blend_eval ();
-           acc.(5) <- acc.(8)
-         end
-         else begin
-           acc.(1) <- acc.(3);
-           acc.(3) <- acc.(4);
-           acc.(5) <- acc.(6);
-           acc.(4) <- acc.(1) +. (golden *. (acc.(2) -. acc.(1)));
-           acc.(7) <- acc.(4);
-           blend_eval ();
-           acc.(6) <- acc.(8)
-         end
-       done;
-       let theta0 = (acc.(1) +. acc.(2)) /. 2. in
-       acc.(7) <- theta0;
-       blend_eval ();
-       let theta = if acc.(8) < obj_now then theta0 else 0. in
-       trace_iter obs_iters_kernel iter !final_gap obj_now theta;
+       let theta = if acc.(10) < obj_now then acc.(ls_theta) else 0. in
+       trace_iter obs_iters_kernel iter !final_gap obj_now theta evals;
        if theta <= 1e-12 then raise Exit;
        (* Convex blend of the per-commodity flows and the loads. *)
        for i = 0 to nc - 1 do

@@ -8,7 +8,8 @@
     module implements the classic flow-deviation method: linearise the
     cost at the current loads, send each commodity along a marginal-cost
     shortest path (the all-or-nothing step), and take the convex
-    combination minimising true cost (golden-section line search).
+    combination minimising true cost (a root-find on the closed-form
+    derivative along that segment, {!line_search}).
 
     Convergence is certified by the Frank–Wolfe duality gap
     [<grad cost(x), x - s>], an upper bound on the distance to the
@@ -42,7 +43,7 @@ type config = {
   max_iters : int;  (** default 200 *)
   gap_tol : float;  (** relative duality-gap target, default 1e-4 *)
   penalty : float;  (** capacity-penalty coefficient, default 1e3 *)
-  line_search_iters : int;  (** golden-section refinements, default 48 *)
+  line_search_iters : int;  (** cap on line-search derivative evaluations, default 48 *)
   engine : engine;  (** default [Kernel] *)
 }
 
@@ -108,6 +109,13 @@ val solve_reference :
   solution
 (** The boxed reference engine, regardless of [config.engine].  The
     differential harnesses compare this against {!solve}. *)
+
+val line_search : iters:int -> gap:float -> (float -> float) -> float * int
+(** The step both engines take along a Frank–Wolfe segment whose convex
+    objective has derivative [dphi], [gap = -. dphi 0. > 0]: [1.] if
+    [dphi 1. <= 0.], else a root of [dphi] (secant steps, Brent's bisection
+    safeguards) to a bracket under 1e-10 or a [|dphi|] under
+    [1e-12 *. gap]; at most [iters] evaluations, returned with the step. *)
 
 val lower_bound_cost : problem -> solution -> float
 (** A certified lower bound on the optimal objective from Frank–Wolfe

@@ -311,7 +311,8 @@ let check_coflow path =
    [fw.kernel] spans (every one closed), and the workspace counters
    must show both an arena growth (first solve) and a reuse (second
    solve) — losing either means the kernel ran boxed or the arenas are
-   being rebuilt per solve. *)
+   being rebuilt per solve.  The line search must have reported its
+   derivative evaluations, per iteration and as a counter. *)
 let check_kernel_trace path =
   let json = parse path in
   (match Json.member "version" json with
@@ -363,7 +364,23 @@ let check_kernel_trace path =
   if counter_total "ws.reuse" < 1. then
     fail "%s: no ws.reuse counter — workspace reuse regressed" path;
   if counter_total "fw.iters" < 1. then
-    fail "%s: no fw.iters counter — the kernel loop went silent" path
+    fail "%s: no fw.iters counter — the kernel loop went silent" path;
+  if counter_total "fw.line_search_evals" < 1. then
+    fail "%s: no fw.line_search_evals counter — the line search went silent"
+      path;
+  (* Every iteration record carries its line-search evaluation count;
+     the counter above is their sum. *)
+  let ls_evals =
+    List.fold_left
+      (fun acc e ->
+        if typed "event" e && named "fw.iter" e then
+          acc +. float_of_int (Json.to_int (get path "ls_evals" e))
+        else acc)
+      0. events
+  in
+  if ls_evals <> counter_total "fw.line_search_evals" then
+    fail "%s: fw.iter ls_evals sum %g <> fw.line_search_evals %g" path ls_evals
+      (counter_total "fw.line_search_evals")
 
 (* Snapshot stream + Prometheus exposition of `dcn replay --stats-every
    --stats --metrics` (the @check-stats alias): every line a version-1

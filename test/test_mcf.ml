@@ -304,6 +304,103 @@ let prop_decompose_recomposes =
                paths)
         commodities)
 
+(* --- line search ---------------------------------------------------- *)
+
+let test_line_search_full_step () =
+  (* phi'(1) <= 0: the objective still falls at the far end, so the
+     search takes the whole step after one evaluation. *)
+  let theta, evals = Frank_wolfe.line_search ~iters:48 ~gap:2. (fun t -> t -. 2.) in
+  Alcotest.(check (float 0.)) "full step" 1. theta;
+  Alcotest.(check int) "one evaluation" 1 evals
+
+let test_line_search_quadratic_exact () =
+  (* x^2 on 3 parallel links, warm-started at loads x = (3, 2, 1): the
+     all-or-nothing point is s = (0, 0, 6), phi' is linear, and the
+     exact step is sum x (x - s) / sum (s - x)^2 = 8 / 38. *)
+  let g = Builders.parallel ~links:3 in
+  let links = Array.of_list (Graph.links_between g ~src:0 ~dst:1) in
+  let warm_start _ =
+    List.mapi
+      (fun k l -> { Decompose.links = [ l ]; weight = float_of_int (3 - k) })
+      (Array.to_list links)
+  in
+  let p = problem g [ commodity ~index:0 ~src:0 ~dst:1 ~demand:6. ] in
+  let config = { Frank_wolfe.default_config with max_iters = 1 } in
+  let s = Frank_wolfe.solve ~config ~warm_start p in
+  let theta = (s.Frank_wolfe.loads.(links.(2)) -. 1.) /. 5. in
+  Alcotest.(check (float 1e-12)) "closed-form step" (8. /. 38.) theta
+
+(* The objective the solver minimises: a power model's envelope plus
+   the default capacity penalty, with its derivative. *)
+let penalised model =
+  let cap = model.Dcn_power.Model.cap in
+  let k = Frank_wolfe.default_config.penalty in
+  let over x = Float.max 0. (x -. cap) in
+  ( (fun x -> Dcn_power.Model.envelope model x +. (k *. over x *. over x)),
+    fun x -> Dcn_power.Model.envelope_deriv model x +. (2. *. k *. over x) )
+
+(* On random F-MCF problems (sigma zero or not, capacity infinite or
+   finite, alpha in {2, 3, 4}), at a point a few Frank-Wolfe iterations
+   in: the step the root-find accepts on Fig. 2's 24-evaluation budget
+   is no worse than the one a 48-step golden-section search over the
+   same segment accepts.  A finite capacity stays at or above r_opt,
+   where the penalised envelope is convex. *)
+let prop_line_search_vs_golden =
+  QCheck.Test.make ~name:"frank-wolfe: line search no worse than golden section"
+    ~count:80
+    QCheck.(make (fun st -> 1 + QCheck.Gen.int_bound 100000 st))
+    (fun seed ->
+      let g, commodities = random_problem seed in
+      let rng = Dcn_util.Prng.create (seed + 1) in
+      let alpha = float_of_int (2 + Dcn_util.Prng.int rng 3) in
+      let sigma =
+        if Dcn_util.Prng.int rng 2 = 0 then 0. else 0.5 +. Dcn_util.Prng.float rng 4.
+      in
+      let model = Dcn_power.Model.make ~sigma ~mu:1. ~alpha () in
+      let cap =
+        if Dcn_util.Prng.int rng 2 = 0 then infinity
+        else Dcn_power.Model.r_opt model +. 0.5 +. Dcn_util.Prng.float rng 3.
+      in
+      let model = Dcn_power.Model.make ~sigma ~mu:1. ~alpha ~cap () in
+      let pc, pc' = penalised model in
+      let p =
+        problem ~capacity:cap
+          ~cost:(Dcn_power.Model.envelope model, Dcn_power.Model.envelope_deriv model)
+          g commodities
+      in
+      let config =
+        { Frank_wolfe.default_config with max_iters = Dcn_util.Prng.int rng 6 }
+      in
+      let x = (Frank_wolfe.solve ~config p).Frank_wolfe.loads in
+      let m = Array.length x in
+      let w = Array.map pc' x in
+      let tie = 1e-9 *. Float.max 1. (Array.fold_left Float.max 0. w) in
+      let s = Array.make m 0. in
+      List.iter
+        (fun (c : Commodity.t) ->
+          let tree =
+            Dcn_topology.Paths.shortest_tree ~weight:(fun l -> w.(l) +. tie) g
+              ~src:c.src
+          in
+          match Dcn_topology.Paths.extract_path g tree ~dst:c.dst with
+          | Some path -> List.iter (fun l -> s.(l) <- s.(l) +. c.demand) path
+          | None -> assert false)
+        commodities;
+      let at t e = ((1. -. t) *. x.(e)) +. (t *. s.(e)) in
+      let phi t = Array.fold_left ( +. ) 0. (Array.init m (fun e -> pc (at t e))) in
+      let dphi t =
+        Array.fold_left ( +. ) 0.
+          (Array.init m (fun e -> pc' (at t e) *. (s.(e) -. x.(e))))
+      in
+      let gap = -.dphi 0. in
+      let phi0 = phi 0. in
+      let accepted t = Float.min phi0 (phi t) in
+      gap <= 0.
+      ||
+      let theta, _ = Frank_wolfe.line_search ~iters:24 ~gap dphi in
+      let oracle = accepted (Golden_ref.minimise ~iters:48 phi) in
+      accepted theta <= oracle +. (1e-9 *. Float.abs oracle))
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -324,8 +421,12 @@ let suite =
           test_fw_fat_tree_host_links_forced;
         Alcotest.test_case "fat-tree beats single path" `Quick
           test_fw_fat_tree_beats_single_path;
+        Alcotest.test_case "line search full step" `Quick test_line_search_full_step;
+        Alcotest.test_case "line search quadratic exact" `Quick
+          test_line_search_quadratic_exact;
         qt prop_fw_conservation;
         qt prop_fw_gap_bounds_optimum;
+        qt prop_line_search_vs_golden;
       ] );
     ( "mcf/decompose",
       [
